@@ -1,7 +1,9 @@
 package ot
 
 import (
+	"crypto/aes"
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
 
@@ -89,32 +91,63 @@ func NewExtReceiver(conn transport.Conn, grp Group, rng *prg.PRG, kappa int) (*E
 	return &ExtReceiver{conn: conn, rng: rng, pairs: pairs}, nil
 }
 
-// expandColumn stretches a column seed to rows bytes of keystream; the
-// salt keeps successive Extend calls on fresh keystream.
-func expandColumn(seed [SeedLen]byte, salt uint64, nBytes int) []byte {
-	var s [prg.SeedSize]byte
-	copy(s[:SeedLen], seed[:])
-	binary.LittleEndian.PutUint64(s[SeedLen:SeedLen+8], salt)
-	s[prg.SeedSize-1] = 0xE7
-	out := make([]byte, nBytes)
-	prg.New(s).Read(out)
-	return out
+// expandColumn XORs a column's keystream into dst: AES-128-CTR keyed by
+// the column seed from counter block salt‖0…‖0xE7, the bytes
+// prg.New(seed‖salt‖0…‖0xE7) would read. The salt keeps successive Extend
+// calls on fresh keystream.
+func expandColumn(dst []byte, seed *[SeedLen]byte, salt uint64) {
+	var iv [aes.BlockSize]byte
+	binary.LittleEndian.PutUint64(iv[:8], salt)
+	iv[aes.BlockSize-1] = 0xE7
+	xorKeystream(dst, seed, &iv)
 }
 
 // rowHash derives one 16-byte random-OT pad seed from a κ-bit row.
 func rowHash(counter uint64, j int, row []byte) [SeedLen]byte {
-	h := sha256.New()
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[:8], counter)
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(j))
-	h.Write(hdr[:])
-	h.Write(row)
-	var out [SeedLen]byte
-	copy(out[:], h.Sum(nil)[:SeedLen])
-	return out
+	var buf [16 + ExtKappa/8]byte
+	binary.LittleEndian.PutUint64(buf[:8], counter)
+	binary.LittleEndian.PutUint64(buf[8:16], uint64(j))
+	return seedHash(append(buf[:16], row...))
+}
+
+// seedHash truncates SHA-256 to a pad seed. Callers hash a stack buffer,
+// so deriving a seed allocates nothing.
+func seedHash(msg []byte) [SeedLen]byte {
+	sum := sha256.Sum256(msg)
+	return [SeedLen]byte(sum[:SeedLen])
 }
 
 func bitOf(b []byte, i int) byte { return (b[i/8] >> (i % 8)) & 1 }
+
+// transpose8 transposes the 8×8 bit matrix whose row r is byte r of x
+// (bit c of that byte is column c).
+func transpose8(x uint64) uint64 {
+	t := (x ^ (x >> 7)) & 0x00AA00AA00AA00AA
+	x ^= t ^ (t << 7)
+	t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCC
+	x ^= t ^ (t << 14)
+	t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0
+	return x ^ t ^ (t << 28)
+}
+
+// transposeRows writes rows 8b … 8b+7 of the bit matrix whose κ columns
+// lie back to back in cols, nBytes each: bit i of row j is bit j of column
+// i. Row 8b+r lands in rows[r*κ/8 : (r+1)*κ/8]. Extend transposes and
+// hashes 8 rows at a time, so it never holds the m×κ row matrix.
+func transposeRows(rows, cols []byte, nBytes, b int) {
+	kb := len(rows) / 8
+	for g := 0; g < kb; g++ {
+		at := 8*g*nBytes + b
+		var x uint64
+		for k := 0; k < 8; k++ {
+			x |= uint64(cols[at+k*nBytes]) << (8 * k)
+		}
+		x = transpose8(x)
+		for r := 0; r < 8; r++ {
+			rows[r*kb+g] = byte(x >> (8 * r))
+		}
+	}
+}
 
 // Extend mints m random 1-of-2 OT correlations on the sender side.
 func (s *ExtSender) Extend(m int) ([]SenderInst, error) {
@@ -122,6 +155,7 @@ func (s *ExtSender) Extend(m int) ([]SenderInst, error) {
 		return nil, fmt.Errorf("ot: extension of %d instances", m)
 	}
 	kappa := len(s.seeds)
+	kb := kappa / 8
 	nBytes := (m + 7) / 8
 	us, err := s.conn.Recv()
 	if err != nil {
@@ -131,36 +165,28 @@ func (s *ExtSender) Extend(m int) ([]SenderInst, error) {
 		return nil, fmt.Errorf("ot: extension expected %d u-bytes, got %d", kappa*nBytes, len(us))
 	}
 	// q columns: qᵢ = G(k_{Δᵢ}) ⊕ Δᵢ·uᵢ.
-	cols := make([][]byte, kappa)
+	cols := make([]byte, kappa*nBytes)
 	for i := 0; i < kappa; i++ {
-		col := expandColumn(s.seeds[i], s.counter, nBytes)
+		col := cols[i*nBytes : (i+1)*nBytes]
 		if bitOf(s.delta, i) == 1 {
-			u := us[i*nBytes : (i+1)*nBytes]
-			for b := range col {
-				col[b] ^= u[b]
-			}
+			copy(col, us[i*nBytes:])
 		}
-		cols[i] = col
+		expandColumn(col, &s.seeds[i], s.counter)
 	}
 	out := make([]SenderInst, m)
-	row := make([]byte, kappa/8)
-	rowD := make([]byte, kappa/8)
-	for j := 0; j < m; j++ {
-		for i := range row {
-			row[i] = 0
+	seeds := make([][SeedLen]byte, 2*m)
+	rows := make([]byte, 8*kb)
+	rowD := make([]byte, kb)
+	for b := 0; b < nBytes; b++ {
+		transposeRows(rows, cols, nBytes, b)
+		for r := 0; r < 8 && 8*b+r < m; r++ {
+			j := 8*b + r
+			row := rows[r*kb : (r+1)*kb]
+			subtle.XORBytes(rowD, row, s.delta)
+			seeds[2*j] = rowHash(s.counter, j, row)
+			seeds[2*j+1] = rowHash(s.counter, j, rowD)
+			out[j] = SenderInst{Seeds: seeds[2*j : 2*j+2 : 2*j+2]}
 		}
-		for i := 0; i < kappa; i++ {
-			if bitOf(cols[i], j) == 1 {
-				row[i/8] |= 1 << (i % 8)
-			}
-		}
-		for i := range row {
-			rowD[i] = row[i] ^ s.delta[i]
-		}
-		out[j] = SenderInst{Seeds: [][SeedLen]byte{
-			rowHash(s.counter, j, row),
-			rowHash(s.counter, j, rowD),
-		}}
 	}
 	s.counter++
 	return out, nil
@@ -172,69 +198,64 @@ func (r *ExtReceiver) Extend(m int) ([]RecvInst, error) {
 		return nil, fmt.Errorf("ot: extension of %d instances", m)
 	}
 	kappa := len(r.pairs)
+	kb := kappa / 8
 	nBytes := (m + 7) / 8
 	choice := make([]byte, nBytes)
 	r.rng.Read(choice)
-	// t columns and the u transmission.
-	tCols := make([][]byte, kappa)
-	us := make([]byte, 0, kappa*nBytes)
+	// t columns and the u transmission: uᵢ = G(k₀ᵢ) ⊕ G(k₁ᵢ) ⊕ r.
+	tCols := make([]byte, kappa*nBytes)
+	us := make([]byte, kappa*nBytes)
 	for i := 0; i < kappa; i++ {
-		t0 := expandColumn(r.pairs[i][0], r.counter, nBytes)
-		t1 := expandColumn(r.pairs[i][1], r.counter, nBytes)
-		u := make([]byte, nBytes)
-		for b := range u {
-			u[b] = t0[b] ^ t1[b] ^ choice[b]
-		}
-		tCols[i] = t0
-		us = append(us, u...)
+		t := tCols[i*nBytes : (i+1)*nBytes]
+		u := us[i*nBytes : (i+1)*nBytes]
+		expandColumn(t, &r.pairs[i][0], r.counter)
+		subtle.XORBytes(u, t, choice)
+		expandColumn(u, &r.pairs[i][1], r.counter)
 	}
 	if err := r.conn.Send(us); err != nil {
 		return nil, err
 	}
 	out := make([]RecvInst, m)
-	row := make([]byte, kappa/8)
-	for j := 0; j < m; j++ {
-		for i := range row {
-			row[i] = 0
+	rows := make([]byte, 8*kb)
+	for b := 0; b < nBytes; b++ {
+		transposeRows(rows, tCols, nBytes, b)
+		for k := 0; k < 8 && 8*b+k < m; k++ {
+			j := 8*b + k
+			out[j] = RecvInst{Choice: int(bitOf(choice, j)), Seed: rowHash(r.counter, j, rows[k*kb:(k+1)*kb])}
 		}
-		for i := 0; i < kappa; i++ {
-			if bitOf(tCols[i], j) == 1 {
-				row[i/8] |= 1 << (i % 8)
-			}
-		}
-		out[j] = RecvInst{Choice: int(bitOf(choice, j)), Seed: rowHash(r.counter, j, row)}
 	}
 	r.counter++
 	return out, nil
 }
 
+// maxCombine is the most components CombineSenderROTs/CombineRecvROTs
+// hash from a stack buffer: 1-of-256, the widest online derandomization.
+const maxCombine = 8
+
 // CombineSenderROTs fuses t random 1-of-2 correlations into one 1-of-2^t
 // correlation: candidate pads are hashes of the chosen component seeds.
 func CombineSenderROTs(insts []SenderInst) SenderInst {
 	t := len(insts)
-	n := 1 << t
-	seeds := make([][SeedLen]byte, n)
-	for c := 0; c < n; c++ {
-		h := sha256.New()
+	seeds := make([][SeedLen]byte, 1<<t)
+	var buf [maxCombine * SeedLen]byte
+	for c := range seeds {
+		msg := buf[:0]
 		for b := 0; b < t; b++ {
-			s := insts[b].Seeds[(c>>b)&1]
-			h.Write(s[:])
+			msg = append(msg, insts[b].Seeds[(c>>b)&1][:]...)
 		}
-		copy(seeds[c][:], h.Sum(nil)[:SeedLen])
+		seeds[c] = seedHash(msg)
 	}
 	return SenderInst{Seeds: seeds}
 }
 
 // CombineRecvROTs is the receiver counterpart of CombineSenderROTs.
 func CombineRecvROTs(insts []RecvInst) RecvInst {
-	t := len(insts)
 	c := 0
-	h := sha256.New()
-	for b := 0; b < t; b++ {
-		c |= insts[b].Choice << b
-		h.Write(insts[b].Seed[:])
+	var buf [maxCombine * SeedLen]byte
+	msg := buf[:0]
+	for b, in := range insts {
+		c |= in.Choice << b
+		msg = append(msg, in.Seed[:]...)
 	}
-	var seed [SeedLen]byte
-	copy(seed[:], h.Sum(nil)[:SeedLen])
-	return RecvInst{Choice: c, Seed: seed}
+	return RecvInst{Choice: c, Seed: seedHash(msg)}
 }

@@ -195,11 +195,38 @@ func BenchmarkExtension1of2(b *testing.B) {
 	wg.Wait()
 	const m = 4096
 	b.SetBytes(m)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		wg.Add(2)
 		go func() { defer wg.Done(); s.Extend(m) }()
 		go func() { defer wg.Done(); r.Extend(m) }()
 		wg.Wait()
+	}
+}
+
+// TestOTHotPathAllocs pins the allocation cost of the per-instance
+// primitives under refills and online derandomization. Row and combine
+// hashing hash stack buffers; a pad costs the AES key schedule plus one
+// small object (the one-block keystream or the CTR stream), independent of
+// its length.
+func TestOTHotPathAllocs(t *testing.T) {
+	var seed [SeedLen]byte
+	row := make([]byte, ExtKappa/8)
+	recv := []RecvInst{{Choice: 1}, {Choice: 0}, {Choice: 1}}
+	short, long := make([]byte, 8), make([]byte, 20000)
+	for _, c := range []struct {
+		name string
+		want float64
+		f    func()
+	}{
+		{"rowHash", 0, func() { rowHash(3, 7, row) }},
+		{"CombineRecvROTs", 0, func() { CombineRecvROTs(recv) }},
+		{"PadInto/one-block", 2, func() { PadInto(short, seed) }},
+		{"PadInto/multi-block", 2, func() { PadInto(long, seed) }},
+	} {
+		if got := testing.AllocsPerRun(100, c.f); got != c.want {
+			t.Errorf("%s: %v allocs per call, want %v", c.name, got, c.want)
+		}
 	}
 }

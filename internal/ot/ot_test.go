@@ -384,6 +384,7 @@ func BenchmarkPrecomputedOnline1of4(b *testing.B) {
 		choices[k] = k % 4
 	}
 	b.SetBytes(int64(count))
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		snd, rcv := Deal(g, 4, count)

@@ -2,6 +2,8 @@ package ot
 
 import (
 	"crypto/aes"
+	"crypto/cipher"
+	"crypto/subtle"
 	"fmt"
 
 	"aq2pnn/internal/prg"
@@ -38,31 +40,35 @@ func Pad(seed [SeedLen]byte, l int) []byte {
 }
 
 // PadInto fills dst with the XOR pad of seed, writing the same bytes Pad
-// would. The pad stream is AES-128-CTR keyed by the seed with the 0x5C
-// domain-separation IV, so for pads of at most one block (every online OT
-// message: tokens are bits, share messages are ≤ 8 bytes) a single block
-// encryption replaces the general PRG construction — no keystream buffer,
-// no allocation beyond the cipher schedule.
+// would: the AES-128-CTR keystream keyed by the seed from the 0x5C
+// domain-separation IV (what prg.New(seed‖0x5C‖0…) would read).
 func PadInto(dst []byte, seed [SeedLen]byte) {
+	clear(dst)
+	xorKeystream(dst, &seed, &padIV)
+}
+
+// padIV is the initial counter block of every pad stream.
+var padIV = [aes.BlockSize]byte{0x5C}
+
+// xorKeystream XORs into dst the AES-128-CTR keystream under key starting
+// at counter block iv. Go's CTR mode counts big-endian over the whole
+// block, as prg does, so the bytes match a prg.PRG seeded with key‖iv
+// without its 8 KiB buffer. A pad of at most one block (every online OT
+// message: tokens are bits, share messages are ≤ 8 bytes) is one block
+// encryption, with no stream object at all.
+func xorKeystream(dst []byte, key *[SeedLen]byte, iv *[aes.BlockSize]byte) {
+	block, err := aes.NewCipher(key[:])
+	if err != nil {
+		//lint:allow panicfree unreachable-by-construction: aes.NewCipher fails only on key lengths other than 16/24/32, and the key is a fixed 16-byte array
+		panic("ot: " + err.Error())
+	}
 	if len(dst) <= aes.BlockSize {
-		// Fast path, bit-identical to the PRG construction below: the PRG's
-		// key is the seed, its IV is {0x5C, 0…}, and a CTR keystream's first
-		// block is AES_key(IV).
-		block, err := aes.NewCipher(seed[:])
-		if err != nil {
-			//lint:allow panicfree unreachable-by-construction: aes.NewCipher fails only on key lengths other than 16/24/32, and the seed is a fixed 16-byte array
-			panic("ot: " + err.Error())
-		}
-		var iv, ks [aes.BlockSize]byte
-		iv[0] = 0x5C
+		var ks [aes.BlockSize]byte
 		block.Encrypt(ks[:], iv[:])
-		copy(dst, ks[:len(dst)])
+		subtle.XORBytes(dst, dst, ks[:len(dst)])
 		return
 	}
-	var s [prg.SeedSize]byte
-	copy(s[:SeedLen], seed[:])
-	s[SeedLen] = 0x5C // domain separation from other PRG uses
-	prg.New(s).Read(dst)
+	cipher.NewCTR(block, iv[:]).XORKeyStream(dst, dst)
 }
 
 // Deal produces `count` correlated random 1-of-N OT instances from a
