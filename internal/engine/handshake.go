@@ -58,6 +58,62 @@ func busyFrame() []byte {
 	return p
 }
 
+// shedReadTimeout bounds how long RejectBusy waits for a shed client's
+// opening frames, and how long a client whose hello write failed waits
+// for a busy frame already on its way.
+const shedReadTimeout = time.Second
+
+// RejectBusy turns a connection away under load: it reads the client's
+// opening frames — the hello and, for a persistent session, the attach
+// request pipelined behind it — under a short deadline and a size cap,
+// then sends the busy frame. The caller closes conn. Reading first
+// matters: closing a socket with unread bytes in its receive buffer
+// resets the connection, and the reset can destroy the busy frame before
+// the client reads it, leaving the client a broken pipe instead of
+// transport.ErrServerBusy. The reads are best-effort; a client that
+// sends nothing or garbage still gets the frame. Transports without
+// receive deadlines (in-memory pipes) skip them: no kernel reset races
+// there, and a silent peer must not pin the shedder.
+func RejectBusy(conn transport.Conn) error {
+	if transport.SetRecvDeadline(conn, time.Now().Add(shedReadTimeout)) {
+		// The busy frame goes out whether or not the reads succeed.
+		_ = readOpening(conn)
+	}
+	return conn.Send(busyFrame())
+}
+
+// readOpening consumes a client's hello and, if the hello asks for a
+// persistent session, its attach request.
+func readOpening(conn transport.Conn) error {
+	p, err := transport.RecvCapped(conn, helloLen)
+	if err != nil {
+		return err
+	}
+	h, err := decodeHello(p)
+	if err != nil || h.Flags&flagSession == 0 {
+		return err
+	}
+	_, err = transport.RecvCapped(conn, attachLen)
+	return err
+}
+
+// helloSendError reports a failed write of the client's opening frames
+// (what names the frame). A shedding server that answered busy and closed
+// before the write landed leaves its frame in our receive buffer: one
+// bounded read recovers it, so the caller still sees the typed
+// transport.ErrServerBusy rather than a broken pipe.
+func helloSendError(conn transport.Conn, what string, err error) error {
+	if transport.SetRecvDeadline(conn, time.Now().Add(shedReadTimeout)) {
+		defer transport.SetRecvDeadline(conn, time.Time{})
+		if p, rerr := conn.Recv(); rerr == nil {
+			if _, busy := decodeHello(p); errors.Is(busy, transport.ErrServerBusy) {
+				return busy
+			}
+		}
+	}
+	return fmt.Errorf("engine: sending session %s: %w", what, err)
+}
+
 // Protocol flag bits. Flags cover every Options field that changes the
 // wire transcript: parties disagreeing on one of these would desynchronise
 // mid-protocol.
@@ -231,7 +287,7 @@ func checkHello(mine, peer sessionHello) error {
 // session goroutine forever. In-memory pipes ignore the timeout.
 func exchangeHello(conn transport.Conn, mine sessionHello, timeout time.Duration) error {
 	if err := conn.Send(mine.encode()); err != nil {
-		return fmt.Errorf("engine: sending session hello: %w", err)
+		return helloSendError(conn, "hello", err)
 	}
 	if timeout > 0 && transport.SetRecvDeadline(conn, time.Now().Add(timeout)) {
 		defer transport.SetRecvDeadline(conn, time.Time{})

@@ -158,14 +158,13 @@ func ServeRegistryTCP(ctx context.Context, l *transport.Listener, reg *Registry,
 }
 
 // shedSession rejects a connection that arrived while every admission
-// slot was busy: it sends the busy frame (best-effort — a client that
-// already hung up simply misses it) and closes the connection.
+// slot was busy: it answers the client's hello with the busy frame
+// (best-effort — a client that already hung up simply misses it) and
+// closes the connection.
 func shedSession(conn transport.Conn) {
 	defer conn.Close()
 	telemetry.Count("aq2pnn_sessions_shed_total", 1)
-	if err := conn.Send(busyFrame()); err != nil {
-		return
-	}
+	_ = RejectBusy(conn)
 }
 
 // countHostile attributes a finished session's failure to the defence

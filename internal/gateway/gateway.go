@@ -245,7 +245,13 @@ func (g *Gateway) Serve(ctx context.Context, l *transport.Listener) error {
 			select {
 			case admit <- struct{}{}:
 			default:
-				g.shedConn(conn)
+				// Shedding reads the client's hello first; off the accept
+				// loop, so a slow client delays nobody else.
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					g.shedConn(conn)
+				}()
 				continue
 			}
 		}
@@ -264,13 +270,15 @@ func (g *Gateway) Serve(ctx context.Context, l *transport.Listener) error {
 
 // shedConn rejects a connection over the gateway's admission cap with
 // the protocol's busy frame — the same signal an overloaded backend
-// sends, so clients back off identically.
+// sends, so clients back off identically. engine.RejectBusy reads the
+// client's opening frames first, so the close cannot reset the
+// connection before the client reads the frame; the reject is
+// best-effort, and a client that already hung up simply misses it.
 func (g *Gateway) shedConn(conn transport.Conn) {
 	defer conn.Close()
 	g.shed.Add(1)
 	telemetry.Count("aq2pnn_gateway_sessions_shed_total", 1)
-	//lint:allow sendcheck best-effort busy reject; a client that already hung up simply misses it
-	_ = conn.Send(engine.BusyRejectFrame())
+	_ = engine.RejectBusy(conn)
 }
 
 // Stats snapshots the gateway counters.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"runtime"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"aq2pnn/internal/nn"
 	"aq2pnn/internal/ot"
 	"aq2pnn/internal/ring"
+	"aq2pnn/internal/telemetry"
 	"aq2pnn/internal/testutil"
 	"aq2pnn/internal/transport"
 )
@@ -259,6 +261,75 @@ func TestGatewayShedsAtMaxSessions(t *testing.T) {
 	}
 	if st := f.gw.Stats(); st.Shed == 0 {
 		t.Errorf("shed not counted: %+v", st)
+	}
+}
+
+// TestGatewayAdmissionControl is the gateway twin of the engine's
+// TestAdmissionControl: with the only admission slot held by a client
+// that never speaks, every further client is shed with the typed,
+// transient ErrServerBusy — on every attempt, not most of them — and a
+// retrying client lands its session once the slot frees.
+func TestGatewayAdmissionControl(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full networked fleet")
+	}
+	telemetry.Enable()
+	m := testModel(t)
+	cfg := fleetCfg()
+	never := transport.FaultPlan{FailAfter: -1}
+	f := startFleet(t, m, cfg, []transport.FaultPlan{never}, func(c *Config) { c.MaxSessions = 1 })
+	ctx := context.Background()
+	shed := telemetry.Default().Counter("aq2pnn_gateway_sessions_shed_total")
+	shedBefore := shed.Value()
+
+	// The gateway accepts in arrival order, so the holder takes the slot
+	// before any client below connects.
+	holder, err := net.Dial("tcp", f.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer holder.Close()
+
+	const attempts = 10
+	for i := 0; i < attempts; i++ {
+		_, err := engine.NewClient(f.dial, cfg).OpenSession(ctx, m) // Retries 0: one attempt
+		if !errors.Is(err, transport.ErrServerBusy) {
+			t.Fatalf("attempt %d against a full gateway returned %v, want ErrServerBusy", i, err)
+		}
+		if !transport.IsTransient(err) {
+			t.Fatalf("ErrServerBusy classified permanent; retry loops would give up")
+		}
+	}
+	if got := f.gw.Stats().Shed; got != attempts {
+		t.Errorf("gateway counted %d sheds, want %d", got, attempts)
+	}
+	if got := shed.Value() - shedBefore; got < attempts {
+		t.Errorf("aq2pnn_gateway_sessions_shed_total rose by %d, want >= %d", got, attempts)
+	}
+
+	// A retrying client keeps backing off while the slot is held...
+	rcfg := cfg
+	rcfg.Retries = 10
+	rcfg.RetryBase = 30 * time.Millisecond
+	resCh := make(chan error, 1)
+	go func() {
+		s, err := engine.NewClient(f.dial, rcfg).OpenSession(ctx, m)
+		if err == nil {
+			_, err = s.Infer(ctx, testInput(m))
+			err = errors.Join(err, s.Close())
+		}
+		resCh <- err
+	}()
+	time.Sleep(150 * time.Millisecond)
+	// ...and succeeds once the holder releases the slot.
+	holder.Close()
+	select {
+	case err := <-resCh:
+		if err != nil {
+			t.Fatalf("retrying client failed after the slot freed: %v", err)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("retrying client never completed after the slot freed")
 	}
 }
 

@@ -32,7 +32,7 @@ var sendCheckConnMethods = map[string]bool{
 // sendCheckHelpers are the package-level helpers of internal/transport.
 var sendCheckHelpers = map[string]bool{
 	"SendElems": true, "RecvElems": true,
-	"SendBytes": true, "RecvBytes": true,
+	"SendBytes": true, "RecvBytes": true, "RecvCapped": true,
 	"Exchange": true, "ExchangeOpen": true,
 }
 

@@ -28,7 +28,9 @@ func bad(c transport.Conn) {
 	transport.SendElems(c, nil)       // want `result of transport.SendElems is unchecked`
 	x, _ := transport.RecvElems(c, 3) // want `error result of transport.RecvElems assigned to _`
 	_ = x
-	transport.SendBytes(c, nil) // want `result of transport.SendBytes is unchecked`
+	transport.SendBytes(c, nil)        // want `result of transport.SendBytes is unchecked`
+	y, _ := transport.RecvCapped(c, 8) // want `error result of transport.RecvCapped assigned to _`
+	_ = y
 	//lint:allow sendcheck testdata: deliberate fire-and-forget
 	c.Send(nil)
 }

@@ -23,6 +23,7 @@ func SendElems(c Conn, xs []uint64) error              { return c.Send(nil) }
 func RecvElems(c Conn, n int) ([]uint64, error)        { return nil, nil }
 func SendBytes(c Conn, p []byte) error                 { return c.Send(p) }
 func RecvBytes(c Conn) ([]byte, error)                 { return c.Recv() }
+func RecvCapped(c Conn, limit uint32) ([]byte, error)  { return c.Recv() }
 func Exchange(c Conn, mine []uint64) ([]uint64, error) { return nil, nil }
 
 func Dial(addr string) (Conn, error) { return DialContext(context.Background(), addr) }

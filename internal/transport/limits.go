@@ -118,3 +118,19 @@ func SetRecvDeadline(c Conn, t time.Time) bool {
 	}
 	return false
 }
+
+// RecvCapped receives one frame of at most limit bytes. On the socket
+// transport a longer declared length is rejected as a *FrameError before
+// any of the body is read, so a peer that is only being turned away (see
+// engine.RejectBusy) cannot make this endpoint buffer a large frame.
+// Other transports receive the frame and then check its length.
+func RecvCapped(c Conn, limit uint32) ([]byte, error) {
+	if nc := unwrapNet(c); nc != nil {
+		return nc.recv(limit)
+	}
+	p, err := c.Recv()
+	if err == nil && len(p) > int(limit) {
+		return nil, &FrameError{Op: "recv", Declared: uint64(len(p)), Limit: uint64(limit)}
+	}
+	return p, err
+}

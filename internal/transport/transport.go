@@ -346,7 +346,11 @@ func (c *netConn) writeAll(p []byte) error {
 	return nil
 }
 
-func (c *netConn) Recv() ([]byte, error) {
+func (c *netConn) Recv() ([]byte, error) { return c.recv(MaxFrame) }
+
+// recv receives one frame, rejecting a declared length past limit before
+// reading or allocating any of its body.
+func (c *netConn) recv(limit uint32) ([]byte, error) {
 	c.rm.Lock()
 	defer c.rm.Unlock()
 	var hdr [4]byte
@@ -355,9 +359,9 @@ func (c *netConn) Recv() ([]byte, error) {
 		return nil, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > MaxFrame {
+	if n > limit {
 		c.noteRecvErr()
-		return nil, &FrameError{Op: "recv", Declared: uint64(n), Limit: MaxFrame}
+		return nil, &FrameError{Op: "recv", Declared: uint64(n), Limit: uint64(limit)}
 	}
 	// Charge the declared length against the session budget BEFORE any
 	// allocation: a hostile header costs the peer its session, not us our

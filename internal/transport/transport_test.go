@@ -200,6 +200,48 @@ func TestRecvElemsLengthCheck(t *testing.T) {
 	}
 }
 
+// TestRecvCapped: a frame within the cap arrives intact; on a socket, a
+// longer declared length fails as a *FrameError from the header alone,
+// before the peer has sent any of the body; on a pipe the length is
+// checked after the receive.
+func TestRecvCapped(t *testing.T) {
+	sa, sb := net.Pipe()
+	a, b := NewNetConn(sa), NewNetConn(sb)
+	defer a.Close()
+	defer b.Close()
+	sent := make(chan error, 1)
+	go func() {
+		if err := a.Send([]byte("hello")); err != nil {
+			sent <- err
+			return
+		}
+		// Only the header of an oversized frame: net.Pipe is unbuffered,
+		// so a receiver that waited for the body would block forever.
+		_, err := sa.Write([]byte{0, 0, 1, 0})
+		sent <- err
+	}()
+	if p, err := RecvCapped(b, 5); err != nil || string(p) != "hello" {
+		t.Fatalf("frame within the cap: %q, %v", p, err)
+	}
+	var fe *FrameError
+	if _, err := RecvCapped(b, 5); !errors.As(err, &fe) || fe.Declared != 1<<16 || fe.Limit != 5 {
+		t.Fatalf("oversized socket frame: %v, want *FrameError declaring 65536 over 5", err)
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+
+	pa, pb := Pipe()
+	defer pa.Close()
+	defer pb.Close()
+	if err := pa.Send(make([]byte, 9)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RecvCapped(pb, 8); !errors.As(err, &fe) || fe.Declared != 9 {
+		t.Fatalf("oversized pipe frame: %v, want *FrameError declaring 9", err)
+	}
+}
+
 func TestTCPConn(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
