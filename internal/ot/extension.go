@@ -99,7 +99,7 @@ func expandColumn(dst []byte, seed *[SeedLen]byte, salt uint64) {
 	var iv [aes.BlockSize]byte
 	binary.LittleEndian.PutUint64(iv[:8], salt)
 	iv[aes.BlockSize-1] = 0xE7
-	xorKeystream(dst, seed, &iv)
+	xorKeystream(dst, newCipher(seed), &iv)
 }
 
 // rowHash derives one 16-byte random-OT pad seed from a κ-bit row.

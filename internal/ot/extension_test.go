@@ -207,14 +207,14 @@ func BenchmarkExtension1of2(b *testing.B) {
 
 // TestOTHotPathAllocs pins the allocation cost of the per-instance
 // primitives under refills and online derandomization. Row and combine
-// hashing hash stack buffers; a pad costs the AES key schedule plus one
-// small object (the one-block keystream or the CTR stream), independent of
-// its length.
+// hashing hash stack buffers. A pad costs the AES key schedule, plus one
+// small object (a scratch block or the CTR stream) unless it is exactly
+// one block long; never anything proportional to its length.
 func TestOTHotPathAllocs(t *testing.T) {
 	var seed [SeedLen]byte
 	row := make([]byte, ExtKappa/8)
 	recv := []RecvInst{{Choice: 1}, {Choice: 0}, {Choice: 1}}
-	short, long := make([]byte, 8), make([]byte, 20000)
+	short, block, long := make([]byte, 8), make([]byte, 16), make([]byte, 20000)
 	for _, c := range []struct {
 		name string
 		want float64
@@ -222,7 +222,8 @@ func TestOTHotPathAllocs(t *testing.T) {
 	}{
 		{"rowHash", 0, func() { rowHash(3, 7, row) }},
 		{"CombineRecvROTs", 0, func() { CombineRecvROTs(recv) }},
-		{"PadInto/one-block", 2, func() { PadInto(short, seed) }},
+		{"PadInto/short", 2, func() { PadInto(short, seed) }},
+		{"PadInto/block", 1, func() { PadInto(block, seed) }},
 		{"PadInto/multi-block", 2, func() { PadInto(long, seed) }},
 	} {
 		if got := testing.AllocsPerRun(100, c.f); got != c.want {

@@ -43,25 +43,36 @@ func Pad(seed [SeedLen]byte, l int) []byte {
 // would: the AES-128-CTR keystream keyed by the seed from the 0x5C
 // domain-separation IV (what prg.New(seed‖0x5C‖0…) would read).
 func PadInto(dst []byte, seed [SeedLen]byte) {
+	block := newCipher(&seed)
+	if len(dst) == aes.BlockSize {
+		// A block-sized pad is the first keystream block itself, encrypted
+		// straight into dst: no scratch block to allocate. The token
+		// exchanges compute their sub-byte pads this way.
+		block.Encrypt(dst, padIV[:])
+		return
+	}
 	clear(dst)
-	xorKeystream(dst, &seed, &padIV)
+	xorKeystream(dst, block, &padIV)
 }
 
 // padIV is the initial counter block of every pad stream.
 var padIV = [aes.BlockSize]byte{0x5C}
 
-// xorKeystream XORs into dst the AES-128-CTR keystream under key starting
-// at counter block iv. Go's CTR mode counts big-endian over the whole
-// block, as prg does, so the bytes match a prg.PRG seeded with key‖iv
-// without its 8 KiB buffer. A pad of at most one block (every online OT
-// message: tokens are bits, share messages are ≤ 8 bytes) is one block
-// encryption, with no stream object at all.
-func xorKeystream(dst []byte, key *[SeedLen]byte, iv *[aes.BlockSize]byte) {
+func newCipher(key *[SeedLen]byte) cipher.Block {
 	block, err := aes.NewCipher(key[:])
 	if err != nil {
 		//lint:allow panicfree unreachable-by-construction: aes.NewCipher fails only on key lengths other than 16/24/32, and the key is a fixed 16-byte array
 		panic("ot: " + err.Error())
 	}
+	return block
+}
+
+// xorKeystream XORs into dst the AES-128-CTR keystream of block starting
+// at counter block iv. Go's CTR mode counts big-endian over the whole
+// block, as prg does, so the bytes match a prg.PRG seeded with key‖iv
+// without its 8 KiB buffer. Up to one block (share messages are ≤ 8
+// bytes) is a single block encryption, with no stream object.
+func xorKeystream(dst []byte, block cipher.Block, iv *[aes.BlockSize]byte) {
 	if len(dst) <= aes.BlockSize {
 		var ks [aes.BlockSize]byte
 		block.Encrypt(ks[:], iv[:])

@@ -1,6 +1,7 @@
 package ot
 
 import (
+	"crypto/aes"
 	"fmt"
 	"sort"
 
@@ -134,7 +135,7 @@ func (e *Endpoint) SendTokens(bits uint, batches []SendTokenBatch) error {
 	out := make([]byte, bitLen(plan.ctBits))
 	var dsPos, ctPos uint64
 	taken := map[int]int{}
-	var pad [1]byte
+	var pad [aes.BlockSize]byte // pad[0] is the token pad; see PadInto
 	for bi, b := range batches {
 		n, w := b.N, plan.widths[bi]
 		pre := e.sendStock[n][taken[n] : taken[n]+len(b.Rows)]
@@ -221,7 +222,7 @@ func (e *Endpoint) RecvTokens(bits uint, batches []RecvTokenBatch) ([][]byte, er
 	out := make([][]byte, len(batches))
 	var ctPos uint64
 	taken = map[int]int{}
-	var pad [1]byte
+	var pad [aes.BlockSize]byte // pad[0] is the token pad; see PadInto
 	for bi, b := range batches {
 		n := b.N
 		pre := e.recvStock[n][taken[n] : taken[n]+len(b.Choices)]
