@@ -178,7 +178,9 @@ func SendPre(c transport.Conn, pre []SenderInst, n int, msgs [][][]byte) error {
 		return fmt.Errorf("ot: expected %d shift bytes, got %d", len(msgs), len(ds))
 	}
 	out := make([]byte, 0, len(msgs)*n*msgLen)
-	pad := make([]byte, msgLen)
+	// A pad shorter than a block is a prefix of the block-sized pad, which
+	// PadInto computes without scratch.
+	pad := make([]byte, max(msgLen, aes.BlockSize))
 	for k := range msgs {
 		d := int(ds[k])
 		if d >= n {
@@ -190,8 +192,8 @@ func SendPre(c transport.Conn, pre []SenderInst, n int, msgs [][][]byte) error {
 		}
 		for l := 0; l < n; l++ {
 			PadInto(pad, inst.Seeds[(l+d)%n])
-			xorInto(pad, msgs[k][l])
-			out = append(out, pad...)
+			subtle.XORBytes(pad, pad, msgs[k][l])
+			out = append(out, pad[:msgLen]...)
 		}
 	}
 	return c.Send(out)
@@ -222,10 +224,11 @@ func RecvPre(c transport.Conn, pre []RecvInst, n int, choices []int, msgLen int)
 	}
 	out := make([][]byte, len(choices))
 	flat := make([]byte, len(choices)*msgLen)
+	pad := make([]byte, max(msgLen, aes.BlockSize)) // see SendPre
 	for k, ch := range choices {
 		m := flat[k*msgLen : (k+1)*msgLen]
-		PadInto(m, pre[k].Seed)
-		xorInto(m, cts[(k*n+ch)*msgLen:(k*n+ch+1)*msgLen])
+		PadInto(pad, pre[k].Seed)
+		subtle.XORBytes(m, pad, cts[(k*n+ch)*msgLen:(k*n+ch+1)*msgLen])
 		out[k] = m
 	}
 	return out, nil
