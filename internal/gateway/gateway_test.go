@@ -183,7 +183,8 @@ func TestGatewayProxiesSession(t *testing.T) {
 	x := testInput(m)
 	cfg := fleetCfg()
 	never := transport.FaultPlan{FailAfter: -1}
-	f := startFleet(t, m, cfg, []transport.FaultPlan{never, never, never}, nil)
+	tr := telemetry.New()
+	f := startFleet(t, m, cfg, []transport.FaultPlan{never, never, never}, func(c *Config) { c.Trace = tr })
 	ctx := context.Background()
 
 	want, err := m.Forward(x, nn.ForwardOptions{Mode: nn.Ring, Carrier: ring.New(cfg.CarrierBits)})
@@ -213,6 +214,11 @@ func TestGatewayProxiesSession(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
+	// The gateway scores a session after its splice ends, then ends the
+	// session's span. Stopping the fleet earlier kills the backends while
+	// the end frame may still be in flight, which the gateway rightly
+	// scores as a backend failure.
+	waitSpan(t, tr, "gateway.session")
 	f.stop()
 	st := f.gw.Stats()
 	if st.Sessions == 0 {
@@ -221,6 +227,19 @@ func TestGatewayProxiesSession(t *testing.T) {
 	if st.Reroutes != 0 || st.Shed != 0 || st.BackendFailures != 0 {
 		t.Errorf("healthy run recorded failures: %+v", st)
 	}
+}
+
+// waitSpan waits until tr holds a finished span called name.
+func waitSpan(t *testing.T, tr *telemetry.Tracer, name string) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		for _, sp := range tr.Spans() {
+			if sp.Name == name {
+				return
+			}
+		}
+	}
+	t.Fatalf("no finished %s span within 10s", name)
 }
 
 func maxAbsDiff(a, b []int64) int64 {
