@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"aq2pnn/internal/engine"
+	"aq2pnn/internal/telemetry"
 	"aq2pnn/internal/testutil"
 	"aq2pnn/internal/transport"
 )
@@ -45,7 +46,8 @@ func TestFleetChaosFailoverBitIdentical(t *testing.T) {
 
 	// Reference: a clean fleet. Record the token, per-inference logits,
 	// and the victim's operation counts at open and at completion.
-	ref := startFleet(t, m, scfg, []transport.FaultPlan{never, never, never}, nil)
+	tr := telemetry.New()
+	ref := startFleet(t, m, scfg, []transport.FaultPlan{never, never, never}, func(c *Config) { c.Trace = tr })
 	s, err := engine.NewClient(ref.dial, ccfg).OpenSession(ctx, m)
 	if err != nil {
 		t.Fatalf("reference open: %v", err)
@@ -76,6 +78,7 @@ func TestFleetChaosFailoverBitIdentical(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("reference close: %v", err)
 	}
+	waitSpan(t, tr, "gateway.session") // see TestGatewayProxiesSession
 	ref.stop()
 	if st := ref.gw.Stats(); st.Reroutes != 0 || st.BackendFailures != 0 {
 		t.Fatalf("clean reference run recorded failures: %+v", st)
