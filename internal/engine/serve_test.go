@@ -100,9 +100,13 @@ func TestServeTCPAbortAfterGrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	// The user stalls a second before its seventh operation, so the
+	// session is still in flight when the server is cancelled however
+	// fast the protocol runs.
+	stalled := transport.NewChaosConn(conn, transport.FaultPlan{FailAfter: -1, Stall: time.Second, StallAt: 6})
 	userDone := make(chan error, 1)
 	go func() {
-		_, err := RunUser(conn, m, input(64), cfg)
+		_, err := RunUser(stalled, m, input(64), cfg)
 		userDone <- err
 	}()
 	time.Sleep(100 * time.Millisecond)
