@@ -58,56 +58,60 @@ func busyFrame() []byte {
 	return p
 }
 
-// shedReadTimeout bounds how long RejectBusy waits for a shed client's
-// opening frames, and how long a client whose hello write failed waits
-// for a busy frame already on its way.
+// shedReadTimeout bounds each read of a turned-away client's opening
+// frames, and how long a client whose opening write failed waits for the
+// answer already on its way.
 const shedReadTimeout = time.Second
 
 // RejectBusy turns a connection away under load: it reads the client's
 // opening frames — the hello and, for a persistent session, the attach
-// request pipelined behind it — under a short deadline and a size cap,
-// then sends the busy frame. The caller closes conn. Reading first
-// matters: closing a socket with unread bytes in its receive buffer
-// resets the connection, and the reset can destroy the busy frame before
-// the client reads it, leaving the client a broken pipe instead of
-// transport.ErrServerBusy. The reads are best-effort; a client that
-// sends nothing or garbage still gets the frame. Transports without
-// receive deadlines (in-memory pipes) skip them: no kernel reset races
-// there, and a silent peer must not pin the shedder.
+// request pipelined behind it — then sends the busy frame. The caller
+// closes conn. Reading first matters: closing a socket with unread bytes
+// in its receive buffer resets the connection, and the reset can destroy
+// the busy frame before the client reads it, leaving the client a broken
+// pipe instead of transport.ErrServerBusy. The reads are best-effort; a
+// client that sends nothing or garbage still gets the frame.
 func RejectBusy(conn transport.Conn) error {
-	if transport.SetRecvDeadline(conn, time.Now().Add(shedReadTimeout)) {
-		// The busy frame goes out whether or not the reads succeed.
-		_ = readOpening(conn)
+	if p, err := recvOpening(conn, helloLen); err == nil {
+		if h, err := decodeHello(p); err == nil && h.Flags&flagSession != 0 {
+			_, _ = recvOpening(conn, attachLen)
+		}
 	}
 	return conn.Send(busyFrame())
 }
 
-// readOpening consumes a client's hello and, if the hello asks for a
-// persistent session, its attach request.
-func readOpening(conn transport.Conn) error {
-	p, err := transport.RecvCapped(conn, helloLen)
-	if err != nil {
-		return err
+// errNoRecvDeadline is recvOpening's answer on transports without
+// receive deadlines.
+var errNoRecvDeadline = errors.New("engine: transport has no receive deadline")
+
+// recvOpening reads one opening frame of a client that is being turned
+// away, under a short deadline and a size cap. Transports without receive
+// deadlines (in-memory pipes) skip the read: no kernel reset races there,
+// and a silent peer must not pin the caller.
+func recvOpening(conn transport.Conn, limit uint32) ([]byte, error) {
+	if !transport.SetRecvDeadline(conn, time.Now().Add(shedReadTimeout)) {
+		return nil, errNoRecvDeadline
 	}
-	h, err := decodeHello(p)
-	if err != nil || h.Flags&flagSession == 0 {
-		return err
-	}
-	_, err = transport.RecvCapped(conn, attachLen)
-	return err
+	defer transport.SetRecvDeadline(conn, time.Time{})
+	return transport.RecvCapped(conn, limit)
 }
 
-// helloSendError reports a failed write of the client's opening frames
-// (what names the frame). A shedding server that answered busy and closed
-// before the write landed leaves its frame in our receive buffer: one
-// bounded read recovers it, so the caller still sees the typed
-// transport.ErrServerBusy rather than a broken pipe.
-func helloSendError(conn transport.Conn, what string, err error) error {
+// openingSendError reports a failed write of the client's opening frames
+// (what names the frame). A server that turned the client away — busy,
+// or with a hello that fails the checks — and closed before the write
+// landed leaves its answer in our receive buffer: one bounded read
+// recovers it, so the caller still gets the typed transport.ErrServerBusy
+// or *HandshakeError rather than a broken pipe.
+func openingSendError(conn transport.Conn, mine sessionHello, what string, err error) error {
 	if transport.SetRecvDeadline(conn, time.Now().Add(shedReadTimeout)) {
 		defer transport.SetRecvDeadline(conn, time.Time{})
 		if p, rerr := conn.Recv(); rerr == nil {
-			if _, busy := decodeHello(p); errors.Is(busy, transport.ErrServerBusy) {
-				return busy
+			peer, herr := decodeHello(p)
+			if herr == nil {
+				herr = checkHello(mine, peer)
+			}
+			if herr != nil {
+				return herr
 			}
 		}
 	}
@@ -287,7 +291,7 @@ func checkHello(mine, peer sessionHello) error {
 // session goroutine forever. In-memory pipes ignore the timeout.
 func exchangeHello(conn transport.Conn, mine sessionHello, timeout time.Duration) error {
 	if err := conn.Send(mine.encode()); err != nil {
-		return helloSendError(conn, "hello", err)
+		return openingSendError(conn, mine, "hello", err)
 	}
 	if timeout > 0 && transport.SetRecvDeadline(conn, time.Now().Add(timeout)) {
 		defer transport.SetRecvDeadline(conn, time.Time{})

@@ -129,10 +129,10 @@ func (s *Session) establish(ctx context.Context, resume bool) error {
 	// the gateway sends nothing of its own, so waiting for the provider
 	// hello here would deadlock the intake.
 	if err := conn.Send(h.encode()); err != nil {
-		return helloSendError(conn, "hello", err)
+		return openingSendError(conn, h, "hello", err)
 	}
 	if err := conn.Send(encodeAttach(attachReqMagic, attachFrame{flag: resume, token: s.token})); err != nil {
-		return helloSendError(conn, "attach", err)
+		return openingSendError(conn, h, "attach", err)
 	}
 	// The handshake deadline spans both answers: a peer (or proxy) that
 	// accepts the frames then stalls fails fast, typed.

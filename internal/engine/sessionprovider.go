@@ -54,11 +54,20 @@ func provideConn(conn transport.Conn, reg *Registry, cfg Options) error {
 	if err := conn.Send(mine.encode()); err != nil {
 		return fmt.Errorf("engine: sending session hello: %w", err)
 	}
+	var herr error
 	if m == nil {
-		return &HandshakeError{Field: "model fingerprint", Local: 0, Peer: peer.Model}
+		herr = &HandshakeError{Field: "model fingerprint", Local: 0, Peer: peer.Model}
+	} else {
+		herr = checkHello(mine, peer)
 	}
-	if err := checkHello(mine, peer); err != nil {
-		return err
+	if herr != nil {
+		if peer.Flags&flagSession != 0 {
+			// Read the attach request pipelined behind the hello: closing
+			// over it would reset the connection, which can destroy our
+			// hello before the client reads the typed mismatch.
+			_, _ = recvOpening(conn, attachLen)
+		}
+		return herr
 	}
 	if peer.Flags&flagSession != 0 {
 		return provideSession(conn, reg, m, scfg, peer.Flags&flagPreproc != 0)
