@@ -49,8 +49,11 @@ func TestGauge(t *testing.T) {
 func TestSetGaugeGated(t *testing.T) {
 	defer Disable()
 	Disable()
-	SetGauge("gate_gauge_test", 7)
-	if v, ok := Default().Gauges()["gate_gauge_test"]; ok && v != 0 {
+	// The default registry outlives one run of the test (-count=N): a
+	// disabled SetGauge must leave whatever value is there.
+	before := Default().Gauges()["gate_gauge_test"]
+	SetGauge("gate_gauge_test", before+7)
+	if v := Default().Gauges()["gate_gauge_test"]; v != before {
 		t.Errorf("disabled SetGauge wrote %d", v)
 	}
 	Enable()

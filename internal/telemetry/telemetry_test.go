@@ -260,9 +260,12 @@ func TestRegistry(t *testing.T) {
 func TestGlobalGate(t *testing.T) {
 	defer Disable()
 	Disable()
+	// The default registry outlives one run of the test (-count=N), so
+	// the checks are on deltas.
+	before := Default().Counters()["gate_test_total"]
 	Count("gate_test_total", 5)
 	Observe("gate_test_seconds", 1, DurationBuckets)
-	if Default().Counters()["gate_test_total"] != 0 {
+	if Default().Counters()["gate_test_total"] != before {
 		t.Fatal("disabled Count still counted")
 	}
 	Enable()
@@ -270,7 +273,7 @@ func TestGlobalGate(t *testing.T) {
 		t.Fatal("Enable did not take")
 	}
 	Count("gate_test_total", 5)
-	if Default().Counters()["gate_test_total"] != 5 {
+	if Default().Counters()["gate_test_total"] != before+5 {
 		t.Fatal("enabled Count did not count")
 	}
 }
