@@ -30,8 +30,11 @@ import (
 // inference requests — plus in-hello negotiation of the ABReLU ring width
 // and the class-only reveal; generation 4 added the preprocessing plane —
 // the multiplexed fill stream, the demand/ack subprotocol and the warm
-// inference request).
-const ProtocolVersion = 5
+// inference request; generation 5 replaced gob with the flat share codec;
+// generation 6 derives every OT pad and extended correlation with the
+// fixed-key AES hash of internal/ot, which changes the pad values while
+// leaving wire lengths and rounds as they were).
+const ProtocolVersion = 6
 
 // helloMagic opens every hello frame. A peer speaking the pre-handshake
 // protocol (or not speaking this protocol at all) sends something else as

@@ -2,7 +2,7 @@ package ot
 
 import (
 	"crypto/aes"
-	"crypto/sha256"
+	"crypto/cipher"
 	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
@@ -26,10 +26,12 @@ import (
 //	extend: R picks random choice bits r (one per new OT) and sends, per
 //	        column i, uᵢ = G(k₀ᵢ) ⊕ G(k₁ᵢ) ⊕ r. S computes
 //	        qᵢ = G(k_{Δᵢ,i}) ⊕ Δᵢ·uᵢ, so row j satisfies q_j = t_j ⊕ r_j·Δ.
-//	output: S's two pads for OT j are H(j, q_j) and H(j, q_j ⊕ Δ); R holds
-//	        H(j, t_j) — the pad selected by its random bit r_j.
+//	output: S's two pads for OT j are H(q_j, j) and H(q_j ⊕ Δ, j); R holds
+//	        H(t_j, j) — the pad selected by its random bit r_j. H is the
+//	        fixed-key tweakable hash of tccr.go; a κ = 128 row is one block.
 
-// ExtKappa is the security parameter: the number of base-OT columns.
+// ExtKappa is the security parameter: the number of base-OT columns. It
+// is fixed at one AES block, so each row hashes as a single block.
 const ExtKappa = 128
 
 // ExtSender is the extension state of the party that will act as the
@@ -38,7 +40,7 @@ type ExtSender struct {
 	conn  transport.Conn
 	delta []byte // κ bits, packed
 	seeds [][SeedLen]byte
-	// counter salts the per-row hash across Extend calls.
+	// counter tweaks the per-row hash across Extend calls.
 	counter uint64
 }
 
@@ -53,8 +55,8 @@ type ExtReceiver struct {
 // NewExtSender runs the reversed base OTs as their receiver, with secret
 // choice bits Δ.
 func NewExtSender(conn transport.Conn, grp Group, rng *prg.PRG, kappa int) (*ExtSender, error) {
-	if kappa <= 0 || kappa%8 != 0 {
-		return nil, fmt.Errorf("ot: extension kappa %d must be a positive multiple of 8", kappa)
+	if kappa != ExtKappa {
+		return nil, fmt.Errorf("ot: extension kappa %d, want %d", kappa, ExtKappa)
 	}
 	delta := make([]byte, kappa/8)
 	rng.Read(delta)
@@ -75,8 +77,8 @@ func NewExtSender(conn transport.Conn, grp Group, rng *prg.PRG, kappa int) (*Ext
 
 // NewExtReceiver runs the reversed base OTs as their sender.
 func NewExtReceiver(conn transport.Conn, grp Group, rng *prg.PRG, kappa int) (*ExtReceiver, error) {
-	if kappa <= 0 || kappa%8 != 0 {
-		return nil, fmt.Errorf("ot: extension kappa %d must be a positive multiple of 8", kappa)
+	if kappa != ExtKappa {
+		return nil, fmt.Errorf("ot: extension kappa %d, want %d", kappa, ExtKappa)
 	}
 	pairs := make([][2][SeedLen]byte, kappa)
 	msgs := make([][][]byte, kappa)
@@ -94,27 +96,22 @@ func NewExtReceiver(conn transport.Conn, grp Group, rng *prg.PRG, kappa int) (*E
 // expandColumn XORs a column's keystream into dst: AES-128-CTR keyed by
 // the column seed from counter block salt‖0…‖0xE7, the bytes
 // prg.New(seed‖salt‖0…‖0xE7) would read. The salt keeps successive Extend
-// calls on fresh keystream.
+// calls on fresh keystream. This is the one place the package keys AES per
+// seed besides π: the schedule is amortised over the column's m/8 bytes.
 func expandColumn(dst []byte, seed *[SeedLen]byte, salt uint64) {
 	var iv [aes.BlockSize]byte
 	binary.LittleEndian.PutUint64(iv[:8], salt)
 	iv[aes.BlockSize-1] = 0xE7
-	xorKeystream(dst, newCipher(seed), &iv)
+	cipher.NewCTR(newCipher(seed), iv[:]).XORKeyStream(dst, dst)
 }
 
-// rowHash derives one 16-byte random-OT pad seed from a κ-bit row.
-func rowHash(counter uint64, j int, row []byte) [SeedLen]byte {
-	var buf [16 + ExtKappa/8]byte
-	binary.LittleEndian.PutUint64(buf[:8], counter)
-	binary.LittleEndian.PutUint64(buf[8:16], uint64(j))
-	return seedHash(append(buf[:16], row...))
-}
-
-// seedHash truncates SHA-256 to a pad seed. Callers hash a stack buffer,
-// so deriving a seed allocates nothing.
-func seedHash(msg []byte) [SeedLen]byte {
-	sum := sha256.Sum256(msg)
-	return [SeedLen]byte(sum[:SeedLen])
+func newCipher(key *[SeedLen]byte) cipher.Block {
+	block, err := aes.NewCipher(key[:])
+	if err != nil {
+		//lint:allow panicfree unreachable-by-construction: aes.NewCipher fails only on key lengths other than 16/24/32, and the key is a fixed 16-byte array
+		panic("ot: " + err.Error())
+	}
+	return block
 }
 
 func bitOf(b []byte, i int) byte { return (b[i/8] >> (i % 8)) & 1 }
@@ -176,15 +173,15 @@ func (s *ExtSender) Extend(m int) ([]SenderInst, error) {
 	out := make([]SenderInst, m)
 	seeds := make([][SeedLen]byte, 2*m)
 	rows := make([]byte, 8*kb)
-	rowD := make([]byte, kb)
+	delta := loadBlock(s.delta)
+	h := new(tccr)
 	for b := 0; b < nBytes; b++ {
 		transposeRows(rows, cols, nBytes, b)
 		for r := 0; r < 8 && 8*b+r < m; r++ {
 			j := 8*b + r
-			row := rows[r*kb : (r+1)*kb]
-			subtle.XORBytes(rowD, row, s.delta)
-			seeds[2*j] = rowHash(s.counter, j, row)
-			seeds[2*j+1] = rowHash(s.counter, j, rowD)
+			q := loadBlock(rows[r*kb:])
+			seeds[2*j] = h.rowHash(s.counter, j, q)
+			seeds[2*j+1] = h.rowHash(s.counter, j, q.xor(delta))
 			out[j] = SenderInst{Seeds: seeds[2*j : 2*j+2 : 2*j+2]}
 		}
 	}
@@ -217,45 +214,14 @@ func (r *ExtReceiver) Extend(m int) ([]RecvInst, error) {
 	}
 	out := make([]RecvInst, m)
 	rows := make([]byte, 8*kb)
+	h := new(tccr)
 	for b := 0; b < nBytes; b++ {
 		transposeRows(rows, tCols, nBytes, b)
 		for k := 0; k < 8 && 8*b+k < m; k++ {
 			j := 8*b + k
-			out[j] = RecvInst{Choice: int(bitOf(choice, j)), Seed: rowHash(r.counter, j, rows[k*kb:(k+1)*kb])}
+			out[j] = RecvInst{Choice: int(bitOf(choice, j)), Seed: h.rowHash(r.counter, j, loadBlock(rows[k*kb:]))}
 		}
 	}
 	r.counter++
 	return out, nil
-}
-
-// maxCombine is the most components CombineSenderROTs/CombineRecvROTs
-// hash from a stack buffer: 1-of-256, the widest online derandomization.
-const maxCombine = 8
-
-// CombineSenderROTs fuses t random 1-of-2 correlations into one 1-of-2^t
-// correlation: candidate pads are hashes of the chosen component seeds.
-func CombineSenderROTs(insts []SenderInst) SenderInst {
-	t := len(insts)
-	seeds := make([][SeedLen]byte, 1<<t)
-	var buf [maxCombine * SeedLen]byte
-	for c := range seeds {
-		msg := buf[:0]
-		for b := 0; b < t; b++ {
-			msg = append(msg, insts[b].Seeds[(c>>b)&1][:]...)
-		}
-		seeds[c] = seedHash(msg)
-	}
-	return SenderInst{Seeds: seeds}
-}
-
-// CombineRecvROTs is the receiver counterpart of CombineSenderROTs.
-func CombineRecvROTs(insts []RecvInst) RecvInst {
-	c := 0
-	var buf [maxCombine * SeedLen]byte
-	msg := buf[:0]
-	for b, in := range insts {
-		c |= in.Choice << b
-		msg = append(msg, in.Seed[:]...)
-	}
-	return RecvInst{Choice: c, Seed: seedHash(msg)}
 }

@@ -79,10 +79,11 @@ func TestCombineROTs(t *testing.T) {
 	s, r, closeFn := newExtPair(t, 3)
 	defer closeFn()
 	si, ri := extendPair(t, s, r, 8)
+	h := new(tccr)
 	// Combine pairs into 1-of-4 correlations.
 	for k := 0; k < 4; k++ {
-		cs := CombineSenderROTs(si[2*k : 2*k+2])
-		cr := CombineRecvROTs(ri[2*k : 2*k+2])
+		cs := h.combineSend(si[2*k : 2*k+2])
+		cr := h.combineRecv(ri[2*k : 2*k+2])
 		if len(cs.Seeds) != 4 {
 			t.Fatalf("combined arity %d", len(cs.Seeds))
 		}
@@ -206,28 +207,27 @@ func BenchmarkExtension1of2(b *testing.B) {
 }
 
 // TestOTHotPathAllocs pins the allocation cost of the per-instance
-// primitives under refills and online derandomization. Row and combine
-// hashing hash stack buffers. A pad costs the AES key schedule, plus one
-// small object (a scratch block or the CTR stream) unless it is exactly
-// one block long; never anything proportional to its length.
+// primitives under refills and online derandomization. Every hash is
+// fixed-key AES through a caller-owned scratch block, so with the scratch
+// allocated per batch, row hashes, receiver combines and pads of any
+// length allocate nothing.
 func TestOTHotPathAllocs(t *testing.T) {
 	var seed [SeedLen]byte
-	row := make([]byte, ExtKappa/8)
+	h := new(tccr)
 	recv := []RecvInst{{Choice: 1}, {Choice: 0}, {Choice: 1}}
-	short, block, long := make([]byte, 8), make([]byte, 16), make([]byte, 20000)
+	tiny, one, long := make([]byte, 1), make([]byte, 16), make([]byte, 20000)
 	for _, c := range []struct {
 		name string
-		want float64
 		f    func()
 	}{
-		{"rowHash", 0, func() { rowHash(3, 7, row) }},
-		{"CombineRecvROTs", 0, func() { CombineRecvROTs(recv) }},
-		{"PadInto/short", 2, func() { PadInto(short, seed) }},
-		{"PadInto/block", 1, func() { PadInto(block, seed) }},
-		{"PadInto/multi-block", 2, func() { PadInto(long, seed) }},
+		{"rowHash", func() { h.rowHash(3, 7, block{1, 2}) }},
+		{"combineRecv", func() { h.combineRecv(recv) }},
+		{"pad/1", func() { h.pad(tiny, &seed) }},
+		{"pad/16", func() { h.pad(one, &seed) }},
+		{"pad/20000", func() { h.pad(long, &seed) }},
 	} {
-		if got := testing.AllocsPerRun(100, c.f); got != c.want {
-			t.Errorf("%s: %v allocs per call, want %v", c.name, got, c.want)
+		if got := testing.AllocsPerRun(100, c.f); got != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", c.name, got)
 		}
 	}
 }

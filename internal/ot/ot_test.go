@@ -3,6 +3,7 @@ package ot
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 
@@ -143,14 +144,35 @@ func TestFlowErrors(t *testing.T) {
 	if _, err := FlowRecv(b, prg.NewSeeded(2), 2, []int{5}, 1); err == nil {
 		t.Error("out-of-range choice should fail")
 	}
+	// The online phases name a bad choice by its index, never by its
+	// value: the value is the receiver's secret selection.
+	_, rcv := Deal(prg.NewSeeded(3), 2, 2)
+	e := NewEndpoint(1, b, prg.NewSeeded(4))
+	e.Dealer = NewDealer(prg.NewSeeded(5))
+	for name, recv := range map[string]func() error{
+		"RecvPre": func() error { _, err := RecvPre(b, rcv, 2, []int{0, 7}, 1); return err },
+		"RecvTokens": func() error {
+			_, err := e.RecvTokens(2, []RecvTokenBatch{{N: 2, Choices: []int{0, 7}}})
+			return err
+		},
+	} {
+		err := recv()
+		if err == nil || !strings.Contains(err.Error(), "index 1") || strings.Contains(err.Error(), "7") {
+			t.Errorf("%s: out-of-range choice error %q, want index 1 and not the value 7", name, err)
+		}
+	}
 }
 
 func TestDealPadConsistency(t *testing.T) {
 	g := prg.NewSeeded(10)
 	snd, rcv := Deal(g, 4, 50)
+	h := new(tccr)
+	ps, pr := make([]byte, 32), make([]byte, 32)
 	for k := range snd {
 		c := rcv[k].Choice
-		if !bytes.Equal(Pad(snd[k].Seeds[c], 32), Pad(rcv[k].Seed, 32)) {
+		h.pad(ps, &snd[k].Seeds[c])
+		h.pad(pr, &rcv[k].Seed)
+		if !bytes.Equal(ps, pr) {
 			t.Fatalf("instance %d: pads disagree", k)
 		}
 	}

@@ -126,8 +126,9 @@ func (e *Endpoint) refillSend(n, need int) error {
 		if err != nil {
 			return err
 		}
+		h := new(tccr)
 		for k := 0; k < chunk; k++ {
-			e.sendStock[n] = append(e.sendStock[n], CombineSenderROTs(raw[k*t:(k+1)*t]))
+			e.sendStock[n] = append(e.sendStock[n], h.combineSend(raw[k*t:(k+1)*t]))
 		}
 		return nil
 	}
@@ -164,8 +165,9 @@ func (e *Endpoint) refillRecv(n, need int) error {
 		if err != nil {
 			return err
 		}
+		h := new(tccr)
 		for k := 0; k < chunk; k++ {
-			e.recvStock[n] = append(e.recvStock[n], CombineRecvROTs(raw[k*t:(k+1)*t]))
+			e.recvStock[n] = append(e.recvStock[n], h.combineRecv(raw[k*t:(k+1)*t]))
 		}
 		return nil
 	}
@@ -177,10 +179,11 @@ func (e *Endpoint) refillRecv(n, need int) error {
 	return nil
 }
 
-// log2Arity returns t for n = 2^t, rejecting non-power-of-two arities.
+// log2Arity returns t for n = 2^t, rejecting non-power-of-two arities and
+// arities wider than a combined correlation (1-of-2^maxCombine).
 func log2Arity(n int) (int, error) {
-	if n < 2 || n&(n-1) != 0 {
-		return 0, fmt.Errorf("ot: extension supports power-of-two arities, got %d", n)
+	if n < 2 || n&(n-1) != 0 || n > 1<<maxCombine {
+		return 0, fmt.Errorf("ot: extension supports power-of-two arities up to %d, got %d", 1<<maxCombine, n)
 	}
 	t := 0
 	for v := n; v > 1; v >>= 1 {

@@ -1,8 +1,6 @@
 package ot
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
 	"crypto/subtle"
 	"fmt"
 
@@ -20,7 +18,7 @@ import (
 const SeedLen = 16
 
 // SenderInst is the sender's view of one precomputed random 1-of-N OT:
-// N pad seeds.
+// N pad seeds. A seed expands to an XOR pad with tccr.pad.
 type SenderInst struct {
 	Seeds [][SeedLen]byte
 }
@@ -30,56 +28,6 @@ type SenderInst struct {
 type RecvInst struct {
 	Choice int
 	Seed   [SeedLen]byte
-}
-
-// Pad expands a seed into an l-byte XOR pad.
-func Pad(seed [SeedLen]byte, l int) []byte {
-	p := make([]byte, l)
-	PadInto(p, seed)
-	return p
-}
-
-// PadInto fills dst with the XOR pad of seed, writing the same bytes Pad
-// would: the AES-128-CTR keystream keyed by the seed from the 0x5C
-// domain-separation IV (what prg.New(seed‖0x5C‖0…) would read).
-func PadInto(dst []byte, seed [SeedLen]byte) {
-	block := newCipher(&seed)
-	if len(dst) == aes.BlockSize {
-		// A block-sized pad is the first keystream block itself, encrypted
-		// straight into dst: no scratch block to allocate. The token
-		// exchanges compute their sub-byte pads this way.
-		block.Encrypt(dst, padIV[:])
-		return
-	}
-	clear(dst)
-	xorKeystream(dst, block, &padIV)
-}
-
-// padIV is the initial counter block of every pad stream.
-var padIV = [aes.BlockSize]byte{0x5C}
-
-func newCipher(key *[SeedLen]byte) cipher.Block {
-	block, err := aes.NewCipher(key[:])
-	if err != nil {
-		//lint:allow panicfree unreachable-by-construction: aes.NewCipher fails only on key lengths other than 16/24/32, and the key is a fixed 16-byte array
-		panic("ot: " + err.Error())
-	}
-	return block
-}
-
-// xorKeystream XORs into dst the AES-128-CTR keystream of block starting
-// at counter block iv. Go's CTR mode counts big-endian over the whole
-// block, as prg does, so the bytes match a prg.PRG seeded with key‖iv
-// without its 8 KiB buffer. Up to one block (share messages are ≤ 8
-// bytes) is a single block encryption, with no stream object.
-func xorKeystream(dst []byte, block cipher.Block, iv *[aes.BlockSize]byte) {
-	if len(dst) <= aes.BlockSize {
-		var ks [aes.BlockSize]byte
-		block.Encrypt(ks[:], iv[:])
-		subtle.XORBytes(dst, dst, ks[:len(dst)])
-		return
-	}
-	cipher.NewCTR(block, iv[:]).XORKeyStream(dst, dst)
 }
 
 // Deal produces `count` correlated random 1-of-N OT instances from a
@@ -177,10 +125,8 @@ func SendPre(c transport.Conn, pre []SenderInst, n int, msgs [][][]byte) error {
 	if len(ds) != len(msgs) {
 		return fmt.Errorf("ot: expected %d shift bytes, got %d", len(msgs), len(ds))
 	}
-	out := make([]byte, 0, len(msgs)*n*msgLen)
-	// A pad shorter than a block is a prefix of the block-sized pad, which
-	// PadInto computes without scratch.
-	pad := make([]byte, max(msgLen, aes.BlockSize))
+	out := make([]byte, len(msgs)*n*msgLen)
+	h := new(tccr)
 	for k := range msgs {
 		d := int(ds[k])
 		if d >= n {
@@ -191,9 +137,9 @@ func SendPre(c transport.Conn, pre []SenderInst, n int, msgs [][][]byte) error {
 			return fmt.Errorf("ot: precomputed instance %d has arity %d, want %d", k, len(inst.Seeds), n)
 		}
 		for l := 0; l < n; l++ {
-			PadInto(pad, inst.Seeds[(l+d)%n])
-			subtle.XORBytes(pad, pad, msgs[k][l])
-			out = append(out, pad[:msgLen]...)
+			e := out[(k*n+l)*msgLen : (k*n+l+1)*msgLen]
+			h.pad(e, &inst.Seeds[(l+d)%n])
+			subtle.XORBytes(e, e, msgs[k][l])
 		}
 	}
 	return c.Send(out)
@@ -208,7 +154,9 @@ func RecvPre(c transport.Conn, pre []RecvInst, n int, choices []int, msgLen int)
 	ds := make([]byte, len(choices))
 	for k, ch := range choices {
 		if ch < 0 || ch >= n {
-			return nil, fmt.Errorf("ot: choice %d outside [0,%d)", ch, n)
+			// Report the position only: the choice value is the
+			// receiver's secret selection.
+			return nil, fmt.Errorf("ot: choice at index %d outside [0,%d)", k, n)
 		}
 		ds[k] = byte(((pre[k].Choice-ch)%n + n) % n)
 	}
@@ -224,11 +172,11 @@ func RecvPre(c transport.Conn, pre []RecvInst, n int, choices []int, msgLen int)
 	}
 	out := make([][]byte, len(choices))
 	flat := make([]byte, len(choices)*msgLen)
-	pad := make([]byte, max(msgLen, aes.BlockSize)) // see SendPre
+	h := new(tccr)
 	for k, ch := range choices {
 		m := flat[k*msgLen : (k+1)*msgLen]
-		PadInto(pad, pre[k].Seed)
-		subtle.XORBytes(m, pad, cts[(k*n+ch)*msgLen:(k*n+ch+1)*msgLen])
+		h.pad(m, &pre[k].Seed)
+		subtle.XORBytes(m, m, cts[(k*n+ch)*msgLen:(k*n+ch+1)*msgLen])
 		out[k] = m
 	}
 	return out, nil

@@ -1,7 +1,6 @@
 package ot
 
 import (
-	"crypto/aes"
 	"fmt"
 	"sort"
 
@@ -135,7 +134,8 @@ func (e *Endpoint) SendTokens(bits uint, batches []SendTokenBatch) error {
 	out := make([]byte, bitLen(plan.ctBits))
 	var dsPos, ctPos uint64
 	taken := map[int]int{}
-	var pad [aes.BlockSize]byte // pad[0] is the token pad; see PadInto
+	h := new(tccr)
+	var pad [1]byte
 	for bi, b := range batches {
 		n, w := b.N, plan.widths[bi]
 		pre := e.sendStock[n][taken[n] : taken[n]+len(b.Rows)]
@@ -157,7 +157,7 @@ func (e *Endpoint) SendTokens(bits uint, batches []SendTokenBatch) error {
 				if row[l] > mask {
 					return fmt.Errorf("ot: token value exceeds %d bits", bits)
 				}
-				PadInto(pad[:], inst.Seeds[(l+d)%n])
+				h.pad(pad[:], &inst.Seeds[(l+d)%n])
 				putBits(out, ctPos, uint64(row[l]^(pad[0]&mask)), bits)
 				ctPos += uint64(bits)
 			}
@@ -202,7 +202,8 @@ func (e *Endpoint) RecvTokens(bits uint, batches []RecvTokenBatch) ([][]byte, er
 		taken[n] += len(b.Choices)
 		for k, ch := range b.Choices {
 			if ch < 0 || ch >= n {
-				return nil, fmt.Errorf("ot: choice %d outside [0,%d)", ch, n)
+				// Report the position only, as RecvPre does.
+				return nil, fmt.Errorf("ot: batch %d choice at index %d outside [0,%d)", bi, k, n)
 			}
 			putBits(ds, dsPos, uint64(((pre[k].Choice-ch)%n+n)%n), w)
 			dsPos += uint64(w)
@@ -222,7 +223,8 @@ func (e *Endpoint) RecvTokens(bits uint, batches []RecvTokenBatch) ([][]byte, er
 	out := make([][]byte, len(batches))
 	var ctPos uint64
 	taken = map[int]int{}
-	var pad [aes.BlockSize]byte // pad[0] is the token pad; see PadInto
+	h := new(tccr)
+	var pad [1]byte
 	for bi, b := range batches {
 		n := b.N
 		pre := e.recvStock[n][taken[n] : taken[n]+len(b.Choices)]
@@ -231,7 +233,7 @@ func (e *Endpoint) RecvTokens(bits uint, batches []RecvTokenBatch) ([][]byte, er
 		for k, ch := range b.Choices {
 			v := byte(getBits(cts, ctPos+uint64(ch)*uint64(bits), bits))
 			ctPos += uint64(n) * uint64(bits)
-			PadInto(pad[:], pre[k].Seed)
+			h.pad(pad[:], &pre[k].Seed)
 			toks[k] = v ^ (pad[0] & mask)
 		}
 		out[bi] = toks
@@ -273,11 +275,12 @@ func (e *Endpoint) refillSendMulti(needs map[int]int) error {
 	if err != nil {
 		return err
 	}
+	h := new(tccr)
 	off := 0
 	for i, n := range arities {
 		t := ts[i]
 		for k := 0; k < chunks[i]; k++ {
-			e.sendStock[n] = append(e.sendStock[n], CombineSenderROTs(raw[off:off+t]))
+			e.sendStock[n] = append(e.sendStock[n], h.combineSend(raw[off:off+t]))
 			off += t
 		}
 	}
@@ -313,11 +316,12 @@ func (e *Endpoint) refillRecvMulti(needs map[int]int) error {
 	if err != nil {
 		return err
 	}
+	h := new(tccr)
 	off := 0
 	for i, n := range arities {
 		t := ts[i]
 		for k := 0; k < chunks[i]; k++ {
-			e.recvStock[n] = append(e.recvStock[n], CombineRecvROTs(raw[off:off+t]))
+			e.recvStock[n] = append(e.recvStock[n], h.combineRecv(raw[off:off+t]))
 			off += t
 		}
 	}
