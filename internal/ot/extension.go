@@ -54,13 +54,10 @@ type ExtReceiver struct {
 
 // NewExtSender runs the reversed base OTs as their receiver, with secret
 // choice bits Δ.
-func NewExtSender(conn transport.Conn, grp Group, rng *prg.PRG, kappa int) (*ExtSender, error) {
-	if kappa != ExtKappa {
-		return nil, fmt.Errorf("ot: extension kappa %d, want %d", kappa, ExtKappa)
-	}
-	delta := make([]byte, kappa/8)
+func NewExtSender(conn transport.Conn, grp Group, rng *prg.PRG) (*ExtSender, error) {
+	delta := make([]byte, ExtKappa/8)
 	rng.Read(delta)
-	choices := make([]int, kappa)
+	choices := make([]int, ExtKappa)
 	for i := range choices {
 		choices[i] = int(bitOf(delta, i))
 	}
@@ -68,7 +65,7 @@ func NewExtSender(conn transport.Conn, grp Group, rng *prg.PRG, kappa int) (*Ext
 	if err != nil {
 		return nil, fmt.Errorf("ot: extension base phase: %w", err)
 	}
-	seeds := make([][SeedLen]byte, kappa)
+	seeds := make([][SeedLen]byte, ExtKappa)
 	for i := range seeds {
 		copy(seeds[i][:], got[i])
 	}
@@ -76,12 +73,9 @@ func NewExtSender(conn transport.Conn, grp Group, rng *prg.PRG, kappa int) (*Ext
 }
 
 // NewExtReceiver runs the reversed base OTs as their sender.
-func NewExtReceiver(conn transport.Conn, grp Group, rng *prg.PRG, kappa int) (*ExtReceiver, error) {
-	if kappa != ExtKappa {
-		return nil, fmt.Errorf("ot: extension kappa %d, want %d", kappa, ExtKappa)
-	}
-	pairs := make([][2][SeedLen]byte, kappa)
-	msgs := make([][][]byte, kappa)
+func NewExtReceiver(conn transport.Conn, grp Group, rng *prg.PRG) (*ExtReceiver, error) {
+	pairs := make([][2][SeedLen]byte, ExtKappa)
+	msgs := make([][][]byte, ExtKappa)
 	for i := range pairs {
 		rng.Read(pairs[i][0][:])
 		rng.Read(pairs[i][1][:])

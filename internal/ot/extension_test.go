@@ -19,8 +19,8 @@ func newExtPair(t *testing.T, seed uint64) (*ExtSender, *ExtReceiver, func()) {
 	var es, er error
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { defer wg.Done(); s, es = NewExtSender(a, TestGroup(), prg.NewSeeded(seed), ExtKappa) }()
-	go func() { defer wg.Done(); r, er = NewExtReceiver(b, TestGroup(), prg.NewSeeded(seed+1), ExtKappa) }()
+	go func() { defer wg.Done(); s, es = NewExtSender(a, TestGroup(), prg.NewSeeded(seed)) }()
+	go func() { defer wg.Done(); r, er = NewExtReceiver(b, TestGroup(), prg.NewSeeded(seed+1)) }()
 	wg.Wait()
 	if es != nil || er != nil {
 		t.Fatal(es, er)
@@ -161,14 +161,12 @@ func TestExtensionBackedEndpoints(t *testing.T) {
 }
 
 func TestExtensionValidation(t *testing.T) {
-	a, b := transport.Pipe()
-	defer a.Close()
-	defer b.Close()
-	if _, err := NewExtSender(a, TestGroup(), prg.NewSeeded(7), 13); err == nil {
-		t.Error("non-multiple-of-8 kappa accepted")
-	}
 	if _, err := log2Arity(3); err == nil {
 		t.Error("arity 3 accepted")
+	}
+	// A combined correlation has at most maxCombine components.
+	if _, err := log2Arity(512); err == nil {
+		t.Error("arity 512 accepted")
 	}
 	if v, _ := log2Arity(8); v != 3 {
 		t.Errorf("log2Arity(8) = %d", v)
@@ -191,8 +189,8 @@ func BenchmarkExtension1of2(b *testing.B) {
 	var r *ExtReceiver
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { defer wg.Done(); s, _ = NewExtSender(a, TestGroup(), prg.NewSeeded(9), ExtKappa) }()
-	go func() { defer wg.Done(); r, _ = NewExtReceiver(c, TestGroup(), prg.NewSeeded(10), ExtKappa) }()
+	go func() { defer wg.Done(); s, _ = NewExtSender(a, TestGroup(), prg.NewSeeded(9)) }()
+	go func() { defer wg.Done(); r, _ = NewExtReceiver(c, TestGroup(), prg.NewSeeded(10)) }()
 	wg.Wait()
 	const m = 4096
 	b.SetBytes(m)

@@ -117,7 +117,7 @@ func (e *Endpoint) refillSend(n, need int) error {
 			return err
 		}
 		if e.extS == nil {
-			e.extS, err = NewExtSender(e.Conn, e.HarvestGroup, e.Rng, ExtKappa)
+			e.extS, err = NewExtSender(e.Conn, e.HarvestGroup, e.Rng)
 			if err != nil {
 				return err
 			}
@@ -156,7 +156,7 @@ func (e *Endpoint) refillRecv(n, need int) error {
 			return err
 		}
 		if e.extR == nil {
-			e.extR, err = NewExtReceiver(e.Conn, e.HarvestGroup, e.Rng, ExtKappa)
+			e.extR, err = NewExtReceiver(e.Conn, e.HarvestGroup, e.Rng)
 			if err != nil {
 				return err
 			}

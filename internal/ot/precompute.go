@@ -137,9 +137,9 @@ func SendPre(c transport.Conn, pre []SenderInst, n int, msgs [][][]byte) error {
 			return fmt.Errorf("ot: precomputed instance %d has arity %d, want %d", k, len(inst.Seeds), n)
 		}
 		for l := 0; l < n; l++ {
-			e := out[(k*n+l)*msgLen : (k*n+l+1)*msgLen]
-			h.pad(e, &inst.Seeds[(l+d)%n])
-			subtle.XORBytes(e, e, msgs[k][l])
+			ct := out[(k*n+l)*msgLen : (k*n+l+1)*msgLen]
+			h.pad(ct, &inst.Seeds[(l+d)%n])
+			subtle.XORBytes(ct, ct, msgs[k][l])
 		}
 	}
 	return c.Send(out)

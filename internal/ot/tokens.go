@@ -262,7 +262,7 @@ func (e *Endpoint) refillSendMulti(needs map[int]int) error {
 	}
 	if e.extS == nil {
 		var err error
-		e.extS, err = NewExtSender(e.Conn, e.HarvestGroup, e.Rng, ExtKappa)
+		e.extS, err = NewExtSender(e.Conn, e.HarvestGroup, e.Rng)
 		if err != nil {
 			return err
 		}
@@ -303,7 +303,7 @@ func (e *Endpoint) refillRecvMulti(needs map[int]int) error {
 	}
 	if e.extR == nil {
 		var err error
-		e.extR, err = NewExtReceiver(e.Conn, e.HarvestGroup, e.Rng, ExtKappa)
+		e.extR, err = NewExtReceiver(e.Conn, e.HarvestGroup, e.Rng)
 		if err != nil {
 			return err
 		}
